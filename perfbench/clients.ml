@@ -30,8 +30,8 @@ let client ops =
   {
     ops;
     ok = Bytes.make (Ops.length ops) '0';
-    reads = Samples.create ();
-    writes = Samples.create ();
+    reads = Samples.create (Ops.length ops);
+    writes = Samples.create (Ops.length ops);
     next = 0;
     attempted = 0;
     failed = 0;
@@ -102,11 +102,13 @@ let window clients ~endpoint ~names ~read_span ~write_span ~seconds ~settle =
   let t1 = Trace.now () in
   let tail (s : Samples.t) from into =
     for i = from to s.Samples.n - 1 do
-      Samples.add into ~at:s.Samples.at.(i) ~w:s.Samples.w.(i) s.Samples.v.(i)
+      Samples.add into ~at:s.Samples.at.{i} ~w:s.Samples.w.{i} s.Samples.v.{i}
     done
   in
-  let read_lat = Samples.create () and write_lat = Samples.create () in
   let parts = List.map2 (fun c b -> (c, b)) clients before in
+  let added f = List.fold_left (fun a (c, b) -> a + f c b) 0 parts in
+  let read_lat = Samples.create (added (fun c (_, _, _, r, _) -> c.reads.Samples.n - r))
+  and write_lat = Samples.create (added (fun c (_, _, _, _, w) -> c.writes.Samples.n - w)) in
   List.iter
     (fun ((c : client), (_, _, _, r, w)) ->
       tail c.reads r read_lat;
@@ -115,9 +117,9 @@ let window clients ~endpoint ~names ~read_span ~write_span ~seconds ~settle =
   {
     t0;
     t1;
-    ops = List.fold_left (fun a (c, (at, _, _, _, _)) -> a + c.attempted - at) 0 parts;
-    updates = List.fold_left (fun a (c, (_, w, _, _, _)) -> a + c.written - w) 0 parts;
-    read_entries = List.fold_left (fun a (c, (_, _, e, _, _)) -> a + c.entries - e) 0 parts;
+    ops = added (fun c (at, _, _, _, _) -> c.attempted - at);
+    updates = added (fun c (_, w, _, _, _) -> c.written - w);
+    read_entries = added (fun c (_, _, e, _, _) -> c.entries - e);
     read_lat;
     write_lat;
   }
@@ -137,7 +139,12 @@ let verdict_of_clients v clients =
 
 (* The end-to-end figures of a client window: an op is a read or a
    write, the updates are those of the writes. *)
-let e2e ~setup_s ~live (w : window) =
-  Common.e2e ~setup_s ~live ~t0:w.t0 ~t1:w.t1 ~ops:[ w.read_lat; w.write_lat ] ~updates:w.write_lat
-    ~reads:w.read_lat ~writes:w.write_lat
+let e2e ~setup_s ~live_mb (w : window) =
+  let t0 = w.t0 and t1 = w.t1 in
+  Common.e2e ~setup_s
+    ~ingest_ups:(slice_rate ~t0 ~t1 ~weighted:true [ w.write_lat ])
+    ~ops_per_s:(slice_rate ~t0 ~t1 [ w.read_lat; w.write_lat ])
+    ~read_p50_ms:(slice_pct ~t0 ~t1 w.read_lat 0.5)
+    ~write_p50_ms:(slice_pct ~t0 ~t1 w.write_lat 0.5)
+    ~live_mb
 

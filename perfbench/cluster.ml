@@ -103,17 +103,9 @@ type marks = { stream : Layers.stream_mark; ingest : (float * int) list; lookup 
 (* Node counters summed over shards. *)
 let marks router =
   let ms = List.map Cl.Node.metrics (nodes router) in
-  let merged = St.Metrics.create () in
-  List.iter
-    (fun (m : St.Metrics.t) ->
-      merged.St.Metrics.epochs <- merged.St.Metrics.epochs + m.St.Metrics.epochs;
-      merged.St.Metrics.ingested <- merged.St.Metrics.ingested + m.St.Metrics.ingested;
-      merged.St.Metrics.coalesced <- merged.St.Metrics.coalesced + m.St.Metrics.coalesced;
-      St.Metrics.Hist.merge_into ~into:merged.St.Metrics.latency m.St.Metrics.latency)
-    ms;
   let op name = hist_buckets (merge_hists (List.map (fun m -> St.Metrics.op m name) ms)) in
   {
-    stream = Layers.mark merged;
+    stream = Layers.mark ms;
     ingest = op "ingest";
     lookup = op "lookup";
     sent = Array.init shards (fun shard -> Cl.Router.shard_sent router ~shard);
@@ -136,21 +128,14 @@ let run ~(size : Serve.size) ~seed ~seconds ~trace ~spans_out =
   let names = Array.of_list (List.map (fun (tn : Mx.tenant) -> tn.Mx.name) tenants) in
   let dir = fresh_dir "cluster" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let repeats = if trace then 1 else setup_repeats in
-  if trace then Atomic.set Trace.enabled true;
-  let times = ref [] and last = ref None in
-  for _ = 1 to repeats do
-    Option.iter Cl.Router.stop !last;
-    last := None;
-    let t0 = Trace.now () in
-    let r = setup ~tenants ~base ~dir ~seed in
-    times := (Trace.now () -. t0) :: !times;
-    last := Some r
-  done;
-  Atomic.set Trace.enabled false;
-  let router = Option.get !last in
+  let router, times =
+    setups ~trace
+      ~setup:(fun i -> setup ~tenants ~base ~dir:(Filename.concat dir (string_of_int i)) ~seed)
+      ~teardown:Cl.Router.stop
+  in
   Fun.protect ~finally:(fun () -> Cl.Router.stop router) @@ fun () ->
-  let setup_s = median !times in
+  let setup_s = median times in
+  let live_mb = if trace then 0. else live_mb router in
   let settle () = ignore (ok "barrier" (Cl.Router.barrier router)) in
   let win seconds =
     Clients.window clients ~endpoint:(endpoint router) ~names ~read_span ~write_span ~seconds ~settle
@@ -209,12 +194,10 @@ let run ~(size : Serve.size) ~seed ~seconds ~trace ~spans_out =
     size.Serve.views shards nclients w.Clients.ops w.Clients.updates (w.Clients.t1 -. w.Clients.t0);
   let attempted = List.fold_left (fun a c -> a + c.Clients.attempted) 0 clients in
   let failed = List.fold_left (fun a c -> a + c.Clients.failed) 0 clients in
-  (* the pre-generated ops are dead from here on *)
-  let live = live_mb router in
   ( v,
     {
       correct = v.errors = [];
       attempted;
       failed;
-      metrics = (if trace then Layers.metrics layers else Clients.e2e ~setup_s ~live w);
+      metrics = (if trace then Layers.metrics layers else Clients.e2e ~setup_s ~live_mb w);
     } )

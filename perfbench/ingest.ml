@@ -1,23 +1,25 @@
-(* ingest: one producer domain pushes a pre-generated drifting-Zipf
-   stream through Queue (Block) -> Scheduler (WAL, one fsync per epoch)
-   -> Registry, over base state bulk-loaded before timing. No network.
-   An in-process probe reads one tenant view under the registry's read
-   lock on a fixed schedule, so read latency under maintenance is
-   measured too. *)
+(* ingest: one producer pushes a pre-generated drifting-Zipf stream
+   through Queue (Block) -> Scheduler (WAL, one fsync per epoch) ->
+   Registry, over base state bulk-loaded before timing. No network, and
+   no reads while the stream runs. The timed window is cut into
+   segments; after each one the stream pauses and a short latency pass
+   on the idle runtime times single steps from push until applied, and
+   consistent reads of every view. Interleaving spreads every figure
+   over the whole window, so a slow spell of the machine moves one
+   segment, not one metric. *)
 
 open Common
 
 (* [base_steps] saturates every tenant's key domain, so the timed window
    maintains steady-state views; [steps_per_s] bounds the pre-generated
-   stream (a run that exhausts it ends early). *)
-type size = { views : int; base_steps : int; steps_per_s : int }
+   stream (a run that exhausts it ends early). Every epoch holds
+   [epoch] updates: the scheduler's latency-adaptive cap is pinned,
+   because where it settled depended on transient stalls and moved
+   throughput across runs by up to 2x. *)
+type size = { views : int; base_steps : int; steps_per_s : int; epoch : int }
 
-let full = { views = 24; base_steps = 1_200_000; steps_per_s = 60_000 }
-let tiny = { views = 6; base_steps = 2_000; steps_per_s = 20_000 }
-
-(* Probe reads per second: enough for a p99 with ten samples beyond it
-   in every slice of a 20 s window. *)
-let probe_hz = 500.
+let full = { views = 24; base_steps = 1_200_000; steps_per_s = 60_000; epoch = 1024 }
+let tiny = { views = 6; base_steps = 2_000; steps_per_s = 20_000; epoch = 64 }
 
 type rt = {
   reg : St.Registry.t;
@@ -28,7 +30,7 @@ type rt = {
   sched : St.Scheduler.t;
 }
 
-let setup ~tenants ~base ~dir i =
+let setup ~size ~tenants ~base ~dir i =
   let metrics = St.Metrics.create () in
   let reg = load_registry ~metrics ~tenants base in
   let wal_path = Filename.concat dir (Printf.sprintf "ingest-%d.wal" i) in
@@ -38,106 +40,83 @@ let setup ~tenants ~base ~dir i =
     | Error e -> failwith ("wal: " ^ St.Errors.to_string e)
   in
   let queue = St.Queue.create St.Queue.Block in
-  let sched = St.Scheduler.create ~wal ~queue ~registry:reg ~metrics () in
+  let sched =
+    St.Scheduler.create ~wal ~min_batch:size.epoch ~max_batch:size.epoch ~initial_batch:size.epoch
+      ~queue ~registry:reg ~metrics ()
+  in
   { reg; metrics; wal; wal_path; queue; sched }
 
-(* The timed stream: op i's updates are stream positions
-   [first.{i}, first.{i+1}); each position's push and apply times are
-   kept off-heap. *)
-type stream = {
-  ops : Ops.t;
-  first : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
-  pushed_at : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
-  applied_at : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
-}
+let push rt u =
+  let item = St.Scheduler.item u in
+  if not (Trace.span push_span (fun () -> St.Queue.push rt.queue item)) then
+    failwith "ingest: Block queue refused an update"
 
-let stream ops =
-  let open Bigarray in
-  let n = Ops.length ops in
-  let first = Array1.create int c_layout (n + 1) in
-  first.{0} <- 0;
-  for i = 0 to n - 1 do
-    first.{i + 1} <- first.{i} + Ops.count ops i
-  done;
-  let times () =
-    let a = Array1.create float64 c_layout (max 1 first.{n}) in
-    Array1.fill a 0.;
-    a
-  in
-  { ops; first; pushed_at = times (); applied_at = times () }
+let barrier rt =
+  match St.Scheduler.barrier rt.sched with Ok _ -> () | Error m -> failwith ("barrier: " ^ m)
 
 type window = {
   steps : int;  (** producer steps pushed *)
   updates : int;
   t0 : float;
   t1 : float;  (** after every pushed update was applied *)
-  writes : Samples.t;  (** push -> applied, per update, at its apply *)
-  step_done : Samples.t;  (** one per step, when its last update applied *)
-  reads : Samples.t;  (** probe reads, from their due time *)
 }
 
-(* The producer: pushes whole steps until [deadline] or the stream
-   ends; stamps each update at push time. *)
-let produce rt s ~from ~deadline =
-  let i = ref from in
-  while !i < Ops.length s.ops && Trace.now () < deadline do
-    let k = ref s.first.{!i} in
-    List.iter
-      (fun u ->
-        s.pushed_at.{!k} <- Trace.now ();
-        incr k;
-        let item = St.Scheduler.item u in
-        if not (Trace.span push_span (fun () -> St.Queue.push rt.queue item)) then
-          failwith "ingest: Block queue refused an update")
-      (Ops.updates s.ops !i);
-    incr i
-  done;
-  !i
-
-let probe rt ~names ~picks ~hz ~deadline =
-  let samples = Samples.create () in
-  let interval = 1. /. hz in
-  let due = ref (Trace.now ()) and i = ref 0 in
-  while !due < deadline do
-    let wait = !due -. Trace.now () in
-    if wait > 0. then Unix.sleepf wait;
-    let name = names.(picks.(!i mod Array.length picks)) in
-    let n =
-      St.Registry.read rt.reg (fun () -> List.length ((St.Registry.find rt.reg name).M.enumerate ()))
-    in
-    ignore (Sys.opaque_identity n);
-    let t = Trace.now () in
-    Samples.add samples ~at:t (t -. !due);
-    incr i;
-    due := !due +. interval
-  done;
-  samples
-
-let window rt s ~names ~picks ~hz ~from ~seconds =
+(* The producer pushes whole steps from [from] until [seconds] have
+   passed or the stream ends; each update is stamped at its push. *)
+let window rt ops ~from ~seconds =
   let t0 = Trace.now () in
   let deadline = t0 +. seconds in
-  let reader = Domain.spawn (fun () -> probe rt ~names ~picks ~hz ~deadline) in
-  let producer = Domain.spawn (fun () -> produce rt s ~from ~deadline) in
-  let upto = Domain.join producer in
-  (match St.Scheduler.barrier rt.sched with Ok _ -> () | Error m -> failwith ("barrier: " ^ m));
-  let t1 = Trace.now () in
-  let reads = Domain.join reader in
-  let writes = Samples.create () and step_done = Samples.create () in
-  for i = from to upto - 1 do
-    for k = s.first.{i} to s.first.{i + 1} - 1 do
-      Samples.add writes ~at:s.applied_at.{k} (s.applied_at.{k} -. s.pushed_at.{k})
-    done;
-    if s.first.{i + 1} > s.first.{i} then Samples.add step_done ~at:s.applied_at.{s.first.{i + 1} - 1} 0.
+  let i = ref from and updates = ref 0 in
+  while !i < Ops.length ops && Trace.now () < deadline do
+    let ups = Ops.updates ops !i in
+    List.iter (push rt) ups;
+    updates := !updates + List.length ups;
+    incr i
   done;
-  {
-    steps = upto - from;
-    updates = s.first.{upto} - s.first.{from};
-    t0;
-    t1;
-    writes;
-    step_done;
-    reads;
-  }
+  barrier rt;
+  { steps = !i - from; updates = !updates; t0; t1 = Trace.now () }
+
+let rate (w : window) n = float_of_int n /. (w.t1 -. w.t0)
+
+(* A latency pass on the idle runtime: for [seconds], one step at a time
+   is pushed and fenced until applied (WAL fsync included); then, for
+   as long again, every tenant view is enumerated under one registry
+   read lock, one such consistent read at a time. *)
+type pass = { writes : Samples.t; reads : Samples.t; pass_steps : int }
+
+let latency_pass rt ops ~from ~names ~seconds =
+  (* a write or read takes at least tens of microseconds *)
+  let cap = 10_000 + int_of_float (seconds *. 1e5) in
+  let writes = Samples.create cap and reads = Samples.create cap in
+  let deadline = Trace.now () +. seconds in
+  let i = ref from in
+  while !i < Ops.length ops && Trace.now () < deadline && writes.Samples.n < cap do
+    let ups = Ops.updates ops !i in
+    if ups <> [] then begin
+      let t0 = Trace.now () in
+      List.iter (push rt) ups;
+      barrier rt;
+      let t1 = Trace.now () in
+      Samples.add writes ~at:t1 (t1 -. t0)
+    end;
+    incr i
+  done;
+  let deadline = Trace.now () +. seconds in
+  while Trace.now () < deadline && reads.Samples.n < cap do
+    let t0 = Trace.now () in
+    let n =
+      St.Registry.read rt.reg (fun () ->
+          List.fold_left
+            (fun a name -> a + List.length ((St.Registry.find rt.reg name).M.enumerate ()))
+            0 names)
+    in
+    let t1 = Trace.now () in
+    ignore (Sys.opaque_identity n);
+    Samples.add reads ~at:t1 (t1 -. t0)
+  done;
+  { writes; reads; pass_steps = !i - from }
+
+let ms_pct s q = pct (Samples.sorted s) q *. 1e3
 
 let run ~size ~seed ~seconds ~trace ~spans_out =
   let tenants = Mx.tenants ~views:size.views ~keys in
@@ -145,64 +124,51 @@ let run ~size ~seed ~seconds ~trace ~spans_out =
   let base_ops, timed_ops =
     gen_ops ~tenants ~seed ~worker:0 ~workers:1 ~base:size.base_steps ~timed ~read_pct:0
   in
-  let s = stream timed_ops in
-  let names = Array.of_list (List.map (fun (tn : Mx.tenant) -> tn.Mx.name) tenants) in
-  let picks =
-    let rng = Random.State.make [| seed; 0x9ead |] in
-    Array.init 4096 (fun _ -> Random.State.int rng (Array.length names))
-  in
   let dir = fresh_dir "ingest" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   (* Set-up: bulk load and view builds (the paper's preprocessing). *)
-  let repeats = if trace then 1 else setup_repeats in
-  if trace then Atomic.set Trace.enabled true;
-  let times = ref [] and last = ref None in
-  for i = 0 to repeats - 1 do
-    Option.iter (fun r -> St.Wal.Z.close r.wal) !last;
-    last := None;
-    let t0 = Trace.now () in
-    let r = setup ~tenants ~base:(base_feed tenants [ base_ops ]) ~dir i in
-    times := (Trace.now () -. t0) :: !times;
-    last := Some r
-  done;
-  Atomic.set Trace.enabled false;
-  let rt = Option.get !last in
-  let setup_s = median !times in
-  let on_step () =
-    let now = Trace.now () in
-    let k = ref (St.Scheduler.applied rt.sched - 1) in
-    while !k >= 0 && s.applied_at.{!k} = 0. do
-      s.applied_at.{!k} <- now;
-      decr k
-    done
+  let rt, times =
+    setups ~trace
+      ~setup:(fun i -> setup ~size ~tenants ~base:(base_feed tenants [ base_ops ]) ~dir i)
+      ~teardown:(fun r -> St.Wal.Z.close r.wal)
   in
-  let runner =
-    Domain.spawn (fun () -> Layers.run_scheduler ~queue:rt.queue ~on_step rt.sched)
+  let setup_s = median times in
+  let live_mb = if trace then 0. else live_mb rt in
+  let names = List.map (fun (tn : Mx.tenant) -> tn.Mx.name) tenants in
+  let runner = Domain.spawn (fun () -> Layers.run_scheduler ~queue:rt.queue rt.sched) in
+  (* [next] is the first step of the stream not pushed yet. *)
+  let next = ref 0 in
+  let segment seconds =
+    let w = window rt timed_ops ~from:!next ~seconds in
+    next := !next + w.steps;
+    w
   in
-  let win ~from ~seconds = window rt s ~names ~picks ~hz:probe_hz ~from ~seconds in
+  let pass seconds =
+    let p = latency_pass rt timed_ops ~from:!next ~names ~seconds in
+    next := !next + p.pass_steps;
+    p
+  in
   let layers = Layers.create () in
-  let warm = win ~from:0 ~seconds:warmup_s in
-  let cap0 = St.Scheduler.batch_limit rt.sched in
-  let w, traced =
-    if not trace then (win ~from:warm.steps ~seconds, None)
+  ignore (segment warmup_s);
+  (* Per segment of [seconds / slices]: 80% streaming, then 10% each of
+     writes and reads; each figure is the median over segments. *)
+  let seg_s = seconds /. float_of_int slices in
+  let result =
+    if not trace then
+      `Segments (List.init slices (fun _ -> (segment (0.8 *. seg_s), pass (0.1 *. seg_s))))
     else begin
       (* Half the time untraced, half traced: the throughput ratio is
          the tracing overhead. *)
-      let w1 = win ~from:warm.steps ~seconds:(seconds /. 2.) in
-      let before = Layers.mark rt.metrics in
+      let w1 = segment (seconds /. 2.) in
+      let before = Layers.mark [ rt.metrics ] in
       Layers.start_tracing ();
-      let w2 = win ~from:(warm.steps + w1.steps) ~seconds:(seconds /. 2.) in
+      let w2 = segment (seconds /. 2.) in
       Atomic.set Trace.enabled false;
-      (w1, Some (w2, before, Layers.mark rt.metrics))
+      let after = Layers.mark [ rt.metrics ] in
+      `Traced (w1, w2, before, after, pass (0.1 *. seg_s))
     end
   in
-  let cap1 = St.Scheduler.batch_limit rt.sched in
-  let last_step, reads_done =
-    let w2_steps, w2_reads =
-      match traced with Some (w2, _, _) -> (w2.steps, w2.reads.Samples.n) | None -> (0, 0)
-    in
-    (warm.steps + w.steps + w2_steps, warm.reads.Samples.n + w.reads.Samples.n + w2_reads)
-  in
+  let last_step = !next in
   St.Queue.close rt.queue;
   (match Domain.join runner with Ok () -> () | Error m -> failwith ("scheduler: " ^ m));
   St.Wal.Z.close rt.wal;
@@ -219,32 +185,39 @@ let run ~size ~seed ~seconds ~trace ~spans_out =
       f (Ops.all_updates ~upto:last_step timed_ops))
     ~served:(fun tn -> Ok ((St.Registry.find rt.reg tn.Mx.name).M.enumerate ()));
   self_check v ~what:"ingest registry" rt.reg;
-  (match traced with
-  | None -> ()
-  | Some (w2, before, after) ->
-      let spans = Trace.collect () in
-      Layers.set_views layers spans ~t0:w2.t0 ~t1:w2.t1;
-      Layers.set_steps layers spans ~t0:w2.t0 ~t1:w2.t1;
-      Layers.set_tails layers ~t0:w2.t0 ~t1:w2.t1 ~reads:w2.reads ~writes:w2.writes;
-      Layers.set_stream layers ~before ~after;
-      Layers.set_data layers [ db ];
-      Layers.set_cascade_output layers [ rt.reg ];
-      let rate (x : window) = float_of_int x.updates /. (x.t1 -. x.t0) in
-      Layers.set layers "trace.overhead_frac" (1. -. (rate w2 /. rate w));
-      Option.iter (fun p -> Trace.write_csv p spans) spans_out);
-  let live = live_mb rt in
-  let e2e =
-    Common.e2e ~setup_s ~live ~t0:w.t0 ~t1:w.t1 ~ops:[ w.step_done ] ~updates:w.writes ~reads:w.reads
-      ~writes:w.writes
+  let metrics, reads_done =
+    match result with
+    | `Segments parts ->
+        let over f = median (List.map f parts) in
+        let ws = List.map fst parts in
+        Printf.printf "ingest: %d steps, %d updates in %d segments of %.2fs\n"
+          (List.fold_left (fun a w -> a + w.steps) 0 ws)
+          (List.fold_left (fun a w -> a + w.updates) 0 ws)
+          slices (0.8 *. seg_s);
+        ( Common.e2e ~setup_s
+            ~ingest_ups:(over (fun (w, _) -> rate w w.updates))
+            ~ops_per_s:(over (fun (w, _) -> rate w w.steps))
+            ~read_p50_ms:(over (fun (_, p) -> ms_pct p.reads 0.5))
+            ~write_p50_ms:(over (fun (_, p) -> ms_pct p.writes 0.5))
+            ~live_mb,
+          List.fold_left (fun a (_, p) -> a + p.reads.Samples.n) 0 parts )
+    | `Traced (w1, w2, before, after, p) ->
+        let spans = Trace.collect () in
+        Layers.set_views layers spans ~t0:w2.t0 ~t1:w2.t1;
+        Layers.set_steps layers spans ~t0:w2.t0 ~t1:w2.t1;
+        Layers.set layers "tail.read_p99_ms" (ms_pct p.reads 0.99);
+        Layers.set layers "tail.write_p99_ms" (ms_pct p.writes 0.99);
+        Layers.set_stream layers ~before ~after;
+        Layers.set_data layers [ db ];
+        Layers.set_cascade_output layers [ rt.reg ];
+        Layers.set layers "trace.overhead_frac" (1. -. (rate w2 w2.updates /. rate w1 w1.updates));
+        Option.iter (fun p -> Trace.write_csv p spans) spans_out;
+        (Layers.metrics layers, p.reads.Samples.n)
   in
-  let dt = w.t1 -. w.t0 in
-  Printf.printf
-    "ingest: %d steps, %d updates in %.2fs; %d probe reads; batch cap %d after warm-up, %d at the end\n"
-    w.steps w.updates dt w.reads.Samples.n cap0 cap1;
   ( v,
     {
       correct = v.errors = [];
       attempted = last_step + reads_done;
       failed = 0;
-      metrics = (if trace then Layers.metrics layers else e2e);
+      metrics;
     } )

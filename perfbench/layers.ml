@@ -44,10 +44,7 @@ let names =
 
 type t = (string, float) Hashtbl.t
 
-(* Start the traced window: counters from zero, spans on. *)
-let start_tracing () =
-  Array.iter (fun a -> Atomic.set a 0) applied_updates;
-  Atomic.set Trace.enabled true
+let start_tracing () = Atomic.set Trace.enabled true
 
 let create () : t = Hashtbl.create 64
 
@@ -58,17 +55,14 @@ let set (t : t) name v =
 let metrics (t : t) =
   List.map (fun (n, u) -> (n, u, Option.value (Hashtbl.find_opt t n) ~default:0.)) names
 
-(* Drive the scheduler as Scheduler.run does, with every step a span;
-   [on_step] runs after each step that applied an epoch. *)
-let run_scheduler ~queue ~on_step sched =
+(* Drive the scheduler as Scheduler.run does, with every step a span. *)
+let run_scheduler ~queue sched =
   let rec loop () =
     let idle = St.Queue.length queue = 0 in
     match
       Trace.span (if idle then step_idle_span else step_span) (fun () -> St.Scheduler.step sched)
     with
-    | Ok true ->
-        on_step ();
-        loop ()
+    | Ok true -> loop ()
     | Ok false -> Ok ()
     | Error e -> Error (St.Errors.to_string e)
   in
@@ -77,9 +71,8 @@ let run_scheduler ~queue ~on_step sched =
     St.Scheduler.abort sched;
     Error (Printexc.to_string e)
 
-(* Engine and dataflow totals: applies inside the traced window
-   [t0, t1], builds wherever they ran (set-up), and the applied-update
-   counters (reset when the traced window starts). *)
+(* Engine and dataflow times: applies inside the traced window
+   [t0, t1], builds wherever they ran (set-up). *)
 let set_views t spans ~t0 ~t1 =
   Array.iteri
     (fun i k ->
@@ -90,8 +83,7 @@ let set_views t spans ~t0 ~t1 =
           0. spans
       in
       set t (l ^ ".apply_s") (sum apply_span.(i) (fun s -> s.Trace.s0 >= t0 && s.Trace.s1 <= t1));
-      set t (l ^ ".build_s") (sum build_span.(i) (fun _ -> true));
-      set t (l ^ ".updates") (float_of_int (Atomic.get applied_updates.(i))))
+      set t (l ^ ".build_s") (sum build_span.(i) (fun _ -> true)))
     kinds
 
 (* Scheduler steps inside [t0, t1]. A step that began on an empty queue
@@ -143,15 +135,38 @@ let set_steps t spans ~t0 ~t1 =
   in
   set t "stream.push_wait_s" push_wait
 
-(* Stream counters over an interval, from Metrics snapshots. *)
-type stream_mark = { epochs : int; ingested : int; coalesced : int; lag : (float * int) list }
+(* Stream counters over an interval, from snapshots of one or more
+   runtimes' Metrics (the shards of a cluster are summed), with the
+   updates the registries applied per tenant kind. *)
+type stream_mark = {
+  epochs : int;
+  ingested : int;
+  coalesced : int;
+  lag : (float * int) list;
+  kind_updates : int array;
+}
 
-let mark (m : St.Metrics.t) =
+let mark (ms : St.Metrics.t list) =
+  let sum f = List.fold_left (fun a m -> a + f m) 0 ms in
+  let kind_updates = Array.make (Array.length kinds) 0 in
+  List.iter
+    (fun (m : St.Metrics.t) ->
+      List.iter
+        (fun name ->
+          (* tenant names end in their kind letter *)
+          match Mx.kind_of_char name.[String.length name - 1] with
+          | Some k ->
+              let i = kind_index k in
+              kind_updates.(i) <- kind_updates.(i) + (St.Metrics.view m name).St.Metrics.updates
+          | None -> ())
+        (St.Metrics.view_names m))
+    ms;
   {
-    epochs = m.St.Metrics.epochs;
-    ingested = m.St.Metrics.ingested;
-    coalesced = m.St.Metrics.coalesced;
-    lag = hist_buckets m.St.Metrics.latency;
+    epochs = sum (fun m -> m.St.Metrics.epochs);
+    ingested = sum (fun m -> m.St.Metrics.ingested);
+    coalesced = sum (fun m -> m.St.Metrics.coalesced);
+    lag = hist_buckets (merge_hists (List.map (fun m -> m.St.Metrics.latency) ms));
+    kind_updates;
   }
 
 let set_stream t ~before ~after =
@@ -162,7 +177,12 @@ let set_stream t ~before ~after =
   if epochs > 0 then set t "stream.batch_mean" (float_of_int ingested /. float_of_int epochs);
   if ingested > 0 then set t "stream.coalesce_ratio" (float_of_int coalesced /. float_of_int ingested);
   set t "stream.lag_p50_ms" (bucket_pct ~before:before.lag ~after:after.lag 0.5 *. 1e3);
-  set t "stream.lag_p99_ms" (bucket_pct ~before:before.lag ~after:after.lag 0.99 *. 1e3)
+  set t "stream.lag_p99_ms" (bucket_pct ~before:before.lag ~after:after.lag 0.99 *. 1e3);
+  Array.iteri
+    (fun i k ->
+      set t (layer_of k ^ ".updates")
+        (float_of_int (after.kind_updates.(i) - before.kind_updates.(i))))
+    kinds
 
 let set_data t dbs =
   set t "data.base_tuples" (float_of_int (List.fold_left (fun a db -> a + Db.size db) 0 dbs));
@@ -182,7 +202,7 @@ let set_cascade_output t regs =
   in
   set t "dataflow.cascade.output" (float_of_int out)
 
-(* Read and write p99 of the traced window, as slice medians. *)
+(* Read and write p99 of the traced window, over slices. *)
 let set_tails t ~t0 ~t1 ~reads ~writes =
   set t "tail.read_p99_ms" (slice_pct ~t0 ~t1 reads 0.99);
   set t "tail.write_p99_ms" (slice_pct ~t0 ~t1 writes 0.99)

@@ -27,7 +27,7 @@ let setup ~tenants ~base ~clients =
   let reg = load_registry ~metrics ~tenants base in
   let queue = St.Queue.create St.Queue.Block in
   let sched = St.Scheduler.create ~queue ~registry:reg ~metrics () in
-  let runner = Domain.spawn (fun () -> Layers.run_scheduler ~queue ~on_step:ignore sched) in
+  let runner = Domain.spawn (fun () -> Layers.run_scheduler ~queue sched) in
   let ingest ups =
     List.fold_left
       (fun (a, d) u ->
@@ -99,21 +99,12 @@ let run ~size ~seed ~seconds ~trace ~spans_out =
   let base = base_feed tenants (List.map fst gens) in
   let clients = List.map (fun (_, t) -> Clients.client t) gens in
   let names = Array.of_list (List.map (fun (tn : Mx.tenant) -> tn.Mx.name) tenants) in
-  let repeats = if trace then 1 else setup_repeats in
-  if trace then Atomic.set Trace.enabled true;
-  let times = ref [] and last = ref None in
-  for _ = 1 to repeats do
-    Option.iter stop !last;
-    last := None;
-    let t0 = Trace.now () in
-    let r = setup ~tenants ~base ~clients:nclients in
-    times := (Trace.now () -. t0) :: !times;
-    last := Some r
-  done;
-  Atomic.set Trace.enabled false;
-  let rt = Option.get !last in
+  let rt, times =
+    setups ~trace ~setup:(fun _ -> setup ~tenants ~base ~clients:nclients) ~teardown:stop
+  in
   Fun.protect ~finally:(fun () -> stop rt) @@ fun () ->
-  let setup_s = median !times in
+  let setup_s = median times in
+  let live_mb = if trace then 0. else live_mb rt in
   let settle () =
     match St.Scheduler.barrier rt.sched with Ok _ -> () | Error m -> failwith ("barrier: " ^ m)
   in
@@ -126,7 +117,7 @@ let run ~size ~seed ~seconds ~trace ~spans_out =
     if not trace then (win seconds, None)
     else begin
       let w1 = win (seconds /. 2.) in
-      let before = (Layers.mark rt.metrics, op_marks rt.metrics "lookup_at", op_marks rt.metrics "ingest_rw") in
+      let before = (Layers.mark [ rt.metrics ], op_marks rt.metrics "lookup_at", op_marks rt.metrics "ingest_rw") in
       Layers.start_tracing ();
       let w2 = win (seconds /. 2.) in
       Atomic.set Trace.enabled false;
@@ -151,7 +142,7 @@ let run ~size ~seed ~seconds ~trace ~spans_out =
       Layers.set_tails layers ~t0:w2.Clients.t0 ~t1:w2.Clients.t1 ~reads:w2.Clients.read_lat
         ~writes:w2.Clients.write_lat;
       Layers.set_steps layers spans ~t0:w2.Clients.t0 ~t1:w2.Clients.t1;
-      Layers.set_stream layers ~before:smark ~after:(Layers.mark rt.metrics);
+      Layers.set_stream layers ~before:smark ~after:(Layers.mark [ rt.metrics ]);
       Layers.set_data layers [ St.Registry.db rt.reg ];
       Layers.set_cascade_output layers [ rt.reg ];
       let svc name before q = bucket_pct ~before ~after:(op_marks rt.metrics name) q *. 1e3 in
@@ -171,12 +162,10 @@ let run ~size ~seed ~seconds ~trace ~spans_out =
     w.Clients.ops w.Clients.updates (w.Clients.t1 -. w.Clients.t0);
   let attempted = List.fold_left (fun a c -> a + c.Clients.attempted) 0 clients in
   let failed = List.fold_left (fun a c -> a + c.Clients.failed) 0 clients in
-  (* the pre-generated ops are dead from here on *)
-  let live = live_mb rt in
   ( v,
     {
       correct = v.errors = [];
       attempted;
       failed;
-      metrics = (if trace then Layers.metrics layers else Clients.e2e ~setup_s ~live w);
+      metrics = (if trace then Layers.metrics layers else Clients.e2e ~setup_s ~live_mb w);
     } )
