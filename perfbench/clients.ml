@@ -144,7 +144,7 @@ let e2e ~setup_s ~live_mb (w : window) =
   Common.e2e ~setup_s
     ~ingest_ups:(slice_rate ~t0 ~t1 ~weighted:true [ w.write_lat ])
     ~ops_per_s:(slice_rate ~t0 ~t1 [ w.read_lat; w.write_lat ])
-    ~read_p50_ms:(slice_pct ~t0 ~t1 w.read_lat 0.5)
-    ~write_p50_ms:(slice_pct ~t0 ~t1 w.write_lat 0.5)
+    ~read_p50_ms:(window_pct [ w.read_lat ] 0.5)
+    ~write_p50_ms:(window_pct [ w.write_lat ] 0.5)
     ~live_mb
 

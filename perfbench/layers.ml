@@ -202,7 +202,7 @@ let set_cascade_output t regs =
   in
   set t "dataflow.cascade.output" (float_of_int out)
 
-(* Read and write p99 of the traced window, over slices. *)
-let set_tails t ~t0 ~t1 ~reads ~writes =
-  set t "tail.read_p99_ms" (slice_pct ~t0 ~t1 reads 0.99);
-  set t "tail.write_p99_ms" (slice_pct ~t0 ~t1 writes 0.99)
+(* Read and write p99 of the traced window. *)
+let set_tails t ~reads ~writes =
+  set t "tail.read_p99_ms" (window_pct [ reads ] 0.99);
+  set t "tail.write_p99_ms" (window_pct [ writes ] 0.99)
