@@ -2283,11 +2283,8 @@ module Bench_mixed = struct
     let admitted, dropped = ingest init in
     if dropped > 0 || admitted <> List.length init then
       failwith "init updates dropped";
-    let deadline = Unix.gettimeofday () +. 30. in
-    while St.Scheduler.applied sched < admitted && Unix.gettimeofday () < deadline do
-      Unix.sleepf 0.001
-    done;
-    if St.Scheduler.applied sched < admitted then failwith "init apply timed out";
+    if not (St.Scheduler.await_applied sched ~deadline:(Unix.gettimeofday () +. 30.) admitted)
+    then failwith "init apply timed out";
     let admin =
       match N.Client.connect ~port () with
       | Ok c -> c

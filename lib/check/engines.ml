@@ -451,11 +451,8 @@ let net_driver ~views (case : Case.t) =
       let admitted, dropped = ok_wire "ingest" (N.Client.ingest client batch) in
       if dropped > 0 then failwith "net driver: server dropped updates";
       target := !target + admitted;
-      let deadline = Unix.gettimeofday () +. 30. in
-      while St.Scheduler.applied sched < !target && Unix.gettimeofday () < deadline do
-        Unix.sleepf 0.0005
-      done;
-      if St.Scheduler.applied sched < !target then failwith "net driver: apply timed out"
+      if not (St.Scheduler.await_applied sched ~deadline:(Unix.gettimeofday () +. 30.) !target)
+      then failwith "net driver: apply timed out"
     end
   in
   {

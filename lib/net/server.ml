@@ -24,6 +24,7 @@
 
 module Registry = Ivm_stream.Registry
 module Metrics = Ivm_stream.Metrics
+module Notifier = Ivm_stream.Notifier
 module M = Ivm_engine.Maintainable
 module Tuple = Ivm_data.Tuple
 module Value = Ivm_data.Value
@@ -129,6 +130,9 @@ type t = {
   cache_mutex : Mutex.t;
   cache : (string, snapshot) Hashtbl.t;
   refreshing : (string, unit) Hashtbl.t;
+  installed : Notifier.t;
+      (* notified when a refresh ends: gated reads that found another
+         request refreshing their view wait on it *)
   mutex : Mutex.t; (* guards conns, subscribers, stopping, active *)
   mutable conns : conn list;
   mutable subscribers : conn list;
@@ -136,6 +140,7 @@ type t = {
   mutable active : int;
       (* requests currently inside [handle] — the drain count [stop]
          waits on before slamming connections shut *)
+  idle : Notifier.t; (* notified when [active] drops to 0 while stopping *)
   mutable accept_domain : unit Domain.t option;
   (* Idle parking: a connection waiting for its next request sits here,
      watched by the poller domain, and costs no handler. Without this a
@@ -190,7 +195,11 @@ let matches_prefix prefix tp =
    (multi-field prefix filters): encode and frame each chunk now. *)
 let send_chunks t conn entries = send_frames conn (build_frames ~chunk_size:t.chunk_size entries)
 
-let snapshot t view =
+(* [min_watermark] is a gated read's token: a snapshot stamped below it
+   is stale even at the current generation, since the generation moves
+   inside [apply_front] while the served watermark moves only after it
+   returns (and not at all for an epoch that coalesced to nothing). *)
+let snapshot ?(min_watermark = 0) t view =
   (* Lock-free hit check: [generation] is read racily, but it is a
      monotonic counter bumped under the exclusive lock, so any observed
      value at worst declares a still-warm snapshot stale or serves one
@@ -203,7 +212,8 @@ let snapshot t view =
   let fresh, stale, owner =
     Mutex.protect t.cache_mutex (fun () ->
         match Hashtbl.find_opt t.cache view with
-        | Some snap when snap.gen = gen -> (Some snap, None, false)
+        | Some snap when snap.gen = gen && snap.watermark >= min_watermark ->
+            (Some snap, None, false)
         | stale ->
             if Hashtbl.mem t.refreshing view then (None, stale, false)
             else (
@@ -219,9 +229,10 @@ let snapshot t view =
          where the re-read generation is exact for the enumeration. *)
       Fun.protect
         ~finally:(fun () ->
-          if owner then
-            Mutex.protect t.cache_mutex (fun () ->
-                Hashtbl.remove t.refreshing view))
+          if owner then begin
+            Mutex.protect t.cache_mutex (fun () -> Hashtbl.remove t.refreshing view);
+            Notifier.notify t.installed
+          end)
         (fun () ->
           Registry.read t.registry (fun () ->
               match Registry.find t.registry view with
@@ -249,6 +260,8 @@ let snapshot t view =
    at an unchanged generation is what "zero per-request encoding"
    means, and what [test_net] asserts. *)
 let snapshot_frames t view = Result.map (fun snap -> snap.frames) (snapshot t view)
+
+let refreshing t view = Mutex.protect t.cache_mutex (fun () -> Hashtbl.mem t.refreshing view)
 
 let lookup_frames t view key =
   Result.map
@@ -305,6 +318,7 @@ let answer_prefix t conn snap prefix =
    honest, which is exactly how the client-side session catches the
    violation. *)
 let stale_read_fp = "net.stale_read"
+let gate_op = "lookup_at.gate"
 
 let handle t conn (req : Wire.request) : outcome =
   let respond resp = match send conn resp with Ok () -> Continue | Error _ -> Close in
@@ -360,35 +374,39 @@ let handle t conn (req : Wire.request) : outcome =
         match t.served with
         | None -> respond (Wire.Err "server has no served-epoch source")
         | Some served ->
-            (* Two-stage gate. First wait for the scheduler to apply
-               past the token; then re-materialize until the snapshot
-               itself carries that watermark — a stale-while-revalidate
-               cache may briefly keep serving the previous epoch. *)
-            let rec wait () =
-              if served () >= token then Ok ()
-              else if Unix.gettimeofday () >= deadline then Error ()
-              else begin
-                Unix.sleepf 0.001;
-                wait ()
-              end
+            (* Two-stage gate, both stages event-driven and bounded by
+               the request's deadline. First wait for the scheduler to
+               apply past the token (woken by its per-epoch notify);
+               then take a snapshot carrying that watermark. When
+               another request owns the view's refresh, the cache still
+               serves the previous epoch: wait for that refresh to end
+               and look again. Time spent blocked is the
+               ["lookup_at.gate"] op series. *)
+            let waited = ref 0. in
+            let await signal ready =
+              let t0 = Unix.gettimeofday () in
+              let ok = Notifier.await signal ~deadline ready in
+              waited := !waited +. (Unix.gettimeofday () -. t0);
+              ok
             in
             let rec fetch () =
-              match snapshot t view with
-              | Error msg -> respond (Wire.Err msg)
-              | Ok snap when snap.watermark >= token -> serve snap
+              match snapshot ~min_watermark:token t view with
+              | Error _ as e -> e
+              | Ok snap when snap.watermark >= token -> Ok snap
               | Ok _ ->
-                  if Unix.gettimeofday () >= deadline then
-                    respond (Wire.Err "read-your-writes deadline: snapshot behind token")
-                  else begin
-                    Unix.sleepf 0.001;
-                    fetch ()
-                  end
+                  if
+                    Unix.gettimeofday () < deadline
+                    && await t.installed (fun () -> not (refreshing t view))
+                  then fetch ()
+                  else Error "read-your-writes deadline: snapshot behind token"
             in
-            (match wait () with
-            | Error () ->
-                respond
-                  (Wire.Err "read-your-writes deadline: served watermark behind token")
-            | Ok () -> fetch ()))
+            let gated =
+              if await (Registry.applied_signal t.registry) (fun () -> served () >= token)
+              then fetch ()
+              else Error "read-your-writes deadline: served watermark behind token"
+            in
+            Metrics.record_op t.metrics gate_op !waited;
+            match gated with Ok snap -> serve snap | Error msg -> respond (Wire.Err msg))
   | Wire.Subscribe -> (
       match send conn Wire.Subscribed with
       | Error _ -> Close
@@ -507,7 +525,14 @@ let rec serve_conn t conn =
           let outcome =
             Fun.protect
               ~finally:(fun () ->
-                Mutex.protect t.mutex (fun () -> t.active <- t.active - 1))
+                (* Only a stopping server has a drain waiting: [stop]
+                   sets [stopping] under this mutex before it waits. *)
+                let drained =
+                  Mutex.protect t.mutex (fun () ->
+                      t.active <- t.active - 1;
+                      t.active = 0 && t.stopping)
+                in
+                if drained then Notifier.notify t.idle)
               (fun () -> handle t conn req)
           in
           let dt = Unix.gettimeofday () -. t0 in
@@ -681,11 +706,13 @@ let start ?(host = "127.0.0.1") ~port ?(chunk_size = 512) ?(snd_timeout = 5.0)
             cache_mutex = Mutex.create ();
             cache = Hashtbl.create 8;
             refreshing = Hashtbl.create 8;
+            installed = Notifier.create ();
             mutex = Mutex.create ();
             conns = [];
             subscribers = [];
             stopping = false;
             active = 0;
+            idle = Notifier.create ();
             accept_domain = None;
             park_mutex = Mutex.create ();
             parked = [];
@@ -714,17 +741,10 @@ let stop ?(grace = 1.0) t =
      to finish and write their responses before connections are slammed
      shut — a Shutdown must not cut off the answers in flight. New
      requests are already refused ([stopping] is set). *)
-  let deadline = Unix.gettimeofday () +. grace in
-  let rec drain () =
-    if
-      Mutex.protect t.mutex (fun () -> t.active > 0)
-      && Unix.gettimeofday () < deadline
-    then begin
-      Unix.sleepf 0.002;
-      drain ()
-    end
-  in
-  if grace > 0. then drain ();
+  if grace > 0. then
+    ignore
+      (Notifier.await t.idle ~deadline:(Unix.gettimeofday () +. grace) (fun () ->
+           Mutex.protect t.mutex (fun () -> t.active = 0)));
   (* Wake every handler blocked in a read; they drain to EOF and drop
      their connections before the pool joins its workers. *)
   let conns = Mutex.protect t.mutex (fun () -> t.conns) in

@@ -54,7 +54,12 @@ val start :
     [Lookup_at] and stamps every snapshot. Wire them to
     {!Ivm_stream.Queue.pushed} after the push and
     {!Ivm_stream.Scheduler.applied} respectively; without them the
-    token ops answer [Err]. An armed ["net.stale_read"] failpoint makes
+    token ops answer [Err]. A gated read blocks on the registry's
+    {!Ivm_stream.Registry.applied_signal} (no polling), so [served] must
+    only advance where that signal is then notified — as the scheduler
+    does after every epoch; the read's own [timeout_ms] bounds the wait
+    and fails it closed. Time spent blocked is recorded as the
+    ["lookup_at.gate"] op series. An armed ["net.stale_read"] failpoint makes
     [Lookup_at] skip its gate while still reporting the honest
     watermark — the injection seam for read-your-writes violation
     tests.

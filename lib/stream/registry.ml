@@ -81,6 +81,9 @@ type t = {
      a reader holding the shared lock sees a stamp that exactly
      identifies the state — the invalidation key for snapshot caches. *)
   mutable generation : int;
+  (* Notified by the driving scheduler after each epoch advances its
+     served watermark — what read-your-writes readers wait on. *)
+  applied : Notifier.t;
 }
 
 let create ?pool ?metrics ?(backoff_base = 0.01) ?(max_failures = 5) ?(seed = 0) ?dead_wal db =
@@ -95,11 +98,13 @@ let create ?pool ?metrics ?(backoff_base = 0.01) ?(max_failures = 5) ?(seed = 0)
     dead_wal;
     lock = Rwlock.create ();
     generation = 0;
+    applied = Notifier.create ();
   }
 
 let db t = t.db
 let read t f = Rwlock.read t.lock f
 let generation t = t.generation
+let applied_signal t = t.applied
 let now () = Unix.gettimeofday ()
 
 (* A placeholder installed when even the initial build fails: consumes
@@ -460,6 +465,7 @@ let restore ?pool ?metrics t db =
       dead_wal = t.dead_wal;
       lock = Rwlock.create ();
       generation = 0;
+      applied = Notifier.create ();
     }
   in
   List.iter

@@ -40,6 +40,14 @@ val generation : t -> int
     stamps guarantee identical state — the invalidation key the network
     server uses for its snapshot cache. *)
 
+val applied_signal : t -> Notifier.t
+(** The epoch-applied event: the {!Scheduler} driving this registry
+    notifies it after every epoch, once its served watermark
+    ({!Scheduler.applied}) has advanced past the epoch — never from
+    inside {!apply_front}, whose return precedes that advance. Readers
+    gated on the watermark (the network server's [Lookup_at]) wait on
+    it instead of polling. *)
+
 val read : t -> (unit -> 'a) -> 'a
 (** Run [f] under the registry's shared (read) lock: no epoch apply,
     heal, self-check or registration runs concurrently, so [f] sees an

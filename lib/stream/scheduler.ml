@@ -144,7 +144,10 @@ let signal_epoch t =
 let signal_finished t =
   Mutex.protect t.barrier_mutex (fun () ->
       t.finished <- true;
-      Condition.broadcast t.barrier_cond)
+      Condition.broadcast t.barrier_cond);
+  Notifier.notify (Registry.applied_signal t.registry)
+
+let step_fp = "scheduler.step"
 
 (** Run one epoch. [Ok false] means the stream ended: the queue is
     closed and fully drained. [Error _] is a durability failure — the
@@ -182,7 +185,15 @@ let step_inner t : (bool, Errors.t) result =
       t.metrics.Metrics.epochs <- t.metrics.Metrics.epochs + 1;
       t.metrics.Metrics.ingested <- t.metrics.Metrics.ingested + n;
       t.metrics.Metrics.coalesced <- t.metrics.Metrics.coalesced + coalesced;
+      (* Test seam: a seeded delay here holds the views' new state
+         behind a served watermark that has not yet moved. *)
+      (match Ivm_fault.Failpoint.hit step_fp with
+      | Some (Ivm_fault.Failpoint.Delay d) -> Unix.sleepf d
+      | Some _ | None -> ());
       t.applied <- t.applied + n;
+      (* Wake watermark-gated readers as soon as the watermark moves,
+         ahead of the delta fan-out and the barrier broadcast. *)
+      Notifier.notify (Registry.applied_signal t.registry);
       (* Fan the applied epoch's front out to delta subscribers after
          the views have absorbed it, so a subscriber that re-reads the
          server never observes a delta before the state reflecting it. *)
@@ -226,6 +237,15 @@ let barrier t : (int, string) result =
         end
       in
       wait ())
+
+(* The timed, event-driven form of polling [applied]: woken by the
+   per-epoch notify (and by the scheduler stopping, which fails the
+   wait at once instead of running out the deadline). *)
+let await_applied t ~deadline target =
+  ignore
+    (Notifier.await (Registry.applied_signal t.registry) ~deadline (fun () ->
+         t.applied >= target || t.finished));
+  t.applied >= target
 
 (* An exception escaping the driving loop (an [on_epoch] hook, say)
    bypasses [step]'s finished signal; whoever catches it aborts the

@@ -41,7 +41,15 @@ val batch_limit : t -> int
 (** The current adaptive batch cap. *)
 
 val applied : t -> int
-(** Updates applied so far (before coalescing). *)
+(** Updates applied so far (before coalescing) — the served watermark.
+    Every advance is followed by a notify of the registry's
+    {!Registry.applied_signal}. *)
+
+val await_applied : t -> deadline:float -> int -> bool
+(** [await_applied t ~deadline n] blocks until {!applied} reaches [n]
+    and is then [true]; [false] once [deadline] (wall clock) passes or
+    the scheduler stops short of [n]. Woken by the per-epoch notify, not
+    by polling. Safe from any domain. *)
 
 val metrics : t -> Metrics.t
 val registry : t -> Registry.t
@@ -70,7 +78,9 @@ val step : t -> (bool, Errors.t) result
     drained). [Error _] is a durability failure: the popped updates
     were {e not} applied — crash-and-recover semantics, they replay
     from the last durable state. View failures never surface here;
-    the registry's supervision absorbs them. *)
+    the registry's supervision absorbs them. An armed
+    ["scheduler.step"] failpoint with a [Delay] action sleeps after the
+    views apply an epoch and before {!applied} advances. *)
 
 val run : ?on_epoch:(t -> unit) -> t -> (unit, Errors.t) result
 (** Drain the stream to its end, calling [on_epoch] after every epoch

@@ -17,6 +17,7 @@ module Squeue = Ivm_stream.Queue
 module Metrics = Ivm_stream.Metrics
 module Registry = Ivm_stream.Registry
 module Scheduler = Ivm_stream.Scheduler
+module Notifier = Ivm_stream.Notifier
 module Checkpoint = Ivm_stream.Checkpoint
 module Wal = Ivm_stream.Wal
 module M = Ivm_engine.Maintainable
@@ -289,6 +290,10 @@ let metrics_render () =
   m.Metrics.ingested <- 40;
   List.iter (fun v -> Metrics.record_op m "lookup" v) [ 0.001; 0.002; 0.25 ];
   Metrics.record_op m "ingest" 0.01;
+  (* The read-your-writes gate's waiting time is its own series, beside
+     (not folded into) the [lookup_at] service time. *)
+  Metrics.record_op m "lookup_at" 0.0012;
+  List.iter (fun v -> Metrics.record_op m "lookup_at.gate" v) [ 0.; 0.001 ];
   ignore (Metrics.view m "tri");
   let text = Metrics.render m in
   let contains needle =
@@ -308,6 +313,8 @@ let metrics_render () =
       "# TYPE ivm_op_seconds histogram";
       "ivm_op_seconds_count{op=\"lookup\"} 3";
       "ivm_op_seconds_count{op=\"ingest\"} 1";
+      "ivm_op_seconds_count{op=\"lookup_at\"} 1";
+      "ivm_op_seconds_count{op=\"lookup_at.gate\"} 2";
       "le=\"+Inf\"";
       "ivm_view_updates_total{view=\"tri\"} 0";
     ];
@@ -1011,10 +1018,7 @@ let with_rw_server ?wal ?(base = 0) (reg, metrics) f =
          ~registry:reg ~metrics ())
   in
   let await_applied n =
-    let deadline = Unix.gettimeofday () +. 30. in
-    while Scheduler.applied sched < n && Unix.gettimeofday () < deadline do
-      Unix.sleepf 0.002
-    done;
+    ignore (Scheduler.await_applied sched ~deadline:(Unix.gettimeofday () +. 30.) n);
     Alcotest.(check int) "stream drained" n (Scheduler.applied sched)
   in
   Fun.protect
@@ -1194,13 +1198,20 @@ let session_stale_read_caught () =
               ignore (ok_wire (Client.Session.write s (session_pair 1)));
               Alcotest.(check int) "token = queue watermark" 2
                 (Client.Session.token s);
+              let t0 = Unix.gettimeofday () in
               (match
                  Client.Session.read ~timeout_ms:50 s ~view:"paths-rs"
                    ~prefix:(tup [ hub; 1 ])
                with
               | Error (Wire.Remote msg) ->
                   Alcotest.(check bool) "fails closed on the deadline" true
-                    (contains msg "deadline")
+                    (contains msg "deadline");
+                  (* Promptly, too: with no scheduler behind the gate,
+                     nothing but the deadline itself may end the wait. *)
+                  let dt = Unix.gettimeofday () -. t0 in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "fails within deadline + 250 ms (%.3f s)" dt)
+                    true (dt < 0.05 +. 0.25)
               | Error e ->
                   Alcotest.failf "expected Remote deadline, got %s"
                     (Wire.error_to_string e)
@@ -1213,6 +1224,158 @@ let session_stale_read_caught () =
               | Error e ->
                   Alcotest.failf "expected Remote, got %s" (Wire.error_to_string e)
               | Ok _ -> Alcotest.fail "stale read not caught")))
+
+(* No lost wake-up through the whole gate: concurrent sessions each
+   write then read their own write through [Lookup_at] against a live
+   scheduler whose epochs are randomly held (a seeded delay between the
+   views applying and the served watermark moving — the window where a
+   fresh-generation snapshot still carries the old watermark). Every
+   read must be served at a watermark at or past its token, and none
+   may ride out its 30 s deadline: the last reads have no later epoch
+   to rescue a missed wake-up, which would hold them to the deadline
+   (where the final re-check serves them late rather than failing). *)
+let e2e_sessions_wake_on_apply () =
+  with_failpoints (fun () ->
+      Failpoint.arm "scheduler.step" ~times:max_int ~p:0.5 (Failpoint.Delay 0.002);
+      let ((_, metrics) as rm) = rw_registry () in
+      with_rw_server rm (fun srv _await ->
+          let port = Server.port srv in
+          let sessions = 4 and writes = 25 in
+          let session w =
+            Domain.spawn (fun () ->
+                let c = ok_wire (Client.connect ~port ()) in
+                Fun.protect
+                  ~finally:(fun () -> Client.close c)
+                  (fun () ->
+                    let s = Client.Session.create c in
+                    List.init writes (fun i ->
+                        let k = 2000 + (100 * w) + i in
+                        ignore (ok_wire (Client.Session.write s (session_pair k)));
+                        let token = Client.Session.token s in
+                        let t0 = Unix.gettimeofday () in
+                        let watermark, entries =
+                          ok_wire
+                            (Client.lookup_at ~timeout_ms:30_000 c ~view:"paths-rs"
+                               ~prefix:(tup [ hub; k ]) ~token)
+                        in
+                        let own =
+                          List.exists
+                            (fun (tp, p) -> D.Tuple.equal tp (tup [ hub; k; k + 9000 ]) && p = 1)
+                            entries
+                        in
+                        (token, watermark, own, Unix.gettimeofday () -. t0))))
+          in
+          let results = List.concat_map Domain.join (List.init sessions session) in
+          List.iter
+            (fun (token, watermark, own, dt) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "watermark %d >= token %d" watermark token)
+                true (watermark >= token);
+              Alcotest.(check bool) "own write visible" true own;
+              Alcotest.(check bool)
+                (Printf.sprintf "read woken, not held to its deadline (%.3f s)" dt)
+                true (dt < 10.))
+            results;
+          Alcotest.(check bool) "delay failpoint fired" true
+            (Failpoint.fired "scheduler.step" > 0);
+          (* Every gated read lands in the gate series, which the stats
+             exposition serves next to the [lookup_at] service time. *)
+          Alcotest.(check int) "one gate sample per gated read" (sessions * writes)
+            (Metrics.Hist.count (Metrics.op metrics "lookup_at.gate"));
+          let c = ok_wire (Client.connect ~port ()) in
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              let text = ok_wire (Client.stats c) in
+              Alcotest.(check bool) "stats exposes the gate series" true
+                (contains text
+                   (Printf.sprintf "ivm_op_seconds_count{op=\"lookup_at.gate\"} %d"
+                      (sessions * writes))))))
+
+(* The views take an epoch before the served watermark moves past it
+   (and an epoch that coalesces to nothing moves the watermark alone),
+   so a snapshot refreshed in between carries the current generation
+   under an older watermark. Held there by a delay on the scheduler
+   step, an ungated read caches exactly that snapshot; the gated read
+   that follows must not take it for fresh — it re-materializes once
+   the watermark passes its token instead of finding the cache
+   "current" until some later epoch (here: none) moves the generation. *)
+let gate_refreshes_stale_stamp () =
+  with_failpoints (fun () ->
+      Failpoint.arm "scheduler.step" ~times:1 (Failpoint.Delay 0.5);
+      let ((reg, _) as rm) = rw_registry () in
+      with_rw_server rm (fun srv _await ->
+          let c = ok_wire (Client.connect ~port:(Server.port srv) ()) in
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              let s = Client.Session.create c in
+              let gen0 = Registry.generation reg in
+              ignore (ok_wire (Client.Session.write s (session_pair 1)));
+              let token = Client.Session.token s in
+              let until = Unix.gettimeofday () +. 10. in
+              while Registry.generation reg = gen0 && Unix.gettimeofday () < until do
+                Unix.sleepf 0.001
+              done;
+              let stamped, _ =
+                ok_wire (Client.lookup_at c ~view:"paths-rs" ~prefix:(tup [ hub; 1 ]) ~token:0)
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "window hit: cached stamp %d behind token %d" stamped token)
+                true (stamped < token);
+              let t0 = Unix.gettimeofday () in
+              match
+                Client.lookup_at ~timeout_ms:5_000 c ~view:"paths-rs" ~prefix:(tup [ hub; 1 ])
+                  ~token
+              with
+              | Ok (watermark, entries) ->
+                  Alcotest.(check bool) "served at the token" true (watermark >= token);
+                  Alcotest.(check int) "own write visible" 1 (List.length entries);
+                  let dt = Unix.gettimeofday () -. t0 in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "served once the watermark moved (%.3f s)" dt)
+                    true (dt < 2.5)
+              | Error e -> Alcotest.failf "gated read failed: %s" (Wire.error_to_string e))))
+
+(* [stop]'s drain ends with the last in-flight request, bounded by the
+   grace: a gated read stuck on a scheduler that never runs holds the
+   drain for its own 300 ms deadline, well under the 5 s grace, gets its
+   answer out, and only then are connections shut. *)
+let stop_drains_on_idle () =
+  let reg, metrics = rw_registry () in
+  let srv =
+    ok_wire
+      (Server.start ~port:0 ~handlers:2
+         ~ingest_rw:(fun ups -> (List.length ups, 0, List.length ups))
+         ~served:(fun () -> 0)
+         ~registry:reg ~metrics ())
+  in
+  let c = ok_wire (Client.connect ~port:(Server.port srv) ()) in
+  Fun.protect
+    ~finally:(fun () -> Client.close c)
+    (fun () ->
+      let reader =
+        Domain.spawn (fun () ->
+            Client.lookup_at ~timeout_ms:300 c ~view:"paths-rs" ~prefix:(tup []) ~token:1)
+      in
+      (* Wait until the read is inside the gate before stopping. *)
+      let until = Unix.gettimeofday () +. 10. in
+      while
+        Notifier.waiting (Registry.applied_signal reg) = 0 && Unix.gettimeofday () < until
+      do
+        Domain.cpu_relax ()
+      done;
+      let t0 = Unix.gettimeofday () in
+      Server.stop ~grace:5. srv;
+      let dt = Unix.gettimeofday () -. t0 in
+      (match Domain.join reader with
+      | Error (Wire.Remote msg) ->
+          Alcotest.(check bool) "in-flight read answered before teardown" true
+            (contains msg "deadline")
+      | Error e -> Alcotest.failf "expected Remote deadline, got %s" (Wire.error_to_string e)
+      | Ok _ -> Alcotest.fail "gated read served despite watermark 0");
+      Alcotest.(check bool) (Printf.sprintf "drain ends with the request (%.3f s)" dt) true
+        (dt < 2.))
 
 let qt t = QCheck_alcotest.to_alcotest ~long:false t
 
@@ -1262,5 +1425,10 @@ let () =
             e2e_session_across_restart;
           Alcotest.test_case "injected stale read caught" `Quick
             session_stale_read_caught;
+          Alcotest.test_case "concurrent sessions wake on apply" `Quick
+            e2e_sessions_wake_on_apply;
+          Alcotest.test_case "gate refreshes a stale-stamped snapshot" `Quick
+            gate_refreshes_stale_stamp;
+          Alcotest.test_case "stop drains on idle" `Quick stop_drains_on_idle;
         ] );
     ]

@@ -718,6 +718,127 @@ let serve_kill_restart () =
                    (D.Database.Z.find db name)))
             triangle_schemas))
 
+(* --- notifier (the wake-on-apply wait) ---------------------------------- *)
+
+module Notifier = Ivm_stream.Notifier
+
+let after s = Unix.gettimeofday () +. s
+
+(* State published and notified before anyone waits: the waiter's
+   up-front check sees it and returns without blocking. *)
+let notify_before_wait () =
+  let n = Notifier.create () in
+  let flag = Atomic.make false in
+  Atomic.set flag true;
+  Notifier.notify n;
+  let t0 = Unix.gettimeofday () in
+  Alcotest.(check bool) "ready" true (Notifier.await n ~deadline:(after 30.) (fun () -> Atomic.get flag));
+  Alcotest.(check bool) "no wait" true (Unix.gettimeofday () -. t0 < 1.);
+  Alcotest.(check int) "no waiter left behind" 0 (Notifier.waiting n)
+
+(* The waiter is provably blocked when the state changes: the notify
+   must wake it long before its 30 s deadline. *)
+let notify_during_wait () =
+  let n = Notifier.create () in
+  let flag = Atomic.make false in
+  let waiter =
+    Domain.spawn (fun () ->
+        let t0 = Unix.gettimeofday () in
+        let ok = Notifier.await n ~deadline:(after 30.) (fun () -> Atomic.get flag) in
+        (ok, Unix.gettimeofday () -. t0))
+  in
+  let until = after 10. in
+  while Notifier.waiting n = 0 && Unix.gettimeofday () < until do
+    Domain.cpu_relax ()
+  done;
+  Alcotest.(check int) "waiter blocked" 1 (Notifier.waiting n);
+  Atomic.set flag true;
+  Notifier.notify n;
+  let ok, dt = Domain.join waiter in
+  Alcotest.(check bool) "woken ready" true ok;
+  Alcotest.(check bool) (Printf.sprintf "woken promptly (%.3f s)" dt) true (dt < 5.);
+  Alcotest.(check int) "deregistered" 0 (Notifier.waiting n)
+
+(* No lost wake-up under a race: a notifier bumps a counter and
+   notifies as fast as it can while a waiter waits for every single
+   value in turn. A lost wake-up strands the waiter until its 5 s
+   deadline (where the final re-check still finds the counter at its
+   target, so the verdict alone cannot tell): any wait that takes half
+   the deadline counts as a miss. *)
+let no_lost_wakeup () =
+  let n = Notifier.create () in
+  let rounds = 2_000 in
+  let counter = Atomic.make 0 in
+  let acked = Atomic.make 0 in
+  let bumper =
+    Domain.spawn (fun () ->
+        for i = 1 to rounds do
+          (* Lock-step: the next bump lands only once the waiter has
+             seen this one, so every wait genuinely races its notify. *)
+          while Atomic.get acked < i - 1 do
+            Domain.cpu_relax ()
+          done;
+          Atomic.set counter i;
+          Notifier.notify n
+        done)
+  in
+  let missed =
+    Fun.protect
+      ~finally:(fun () ->
+        (* Release the bumper even when a wait failed. *)
+        Atomic.set acked rounds;
+        Domain.join bumper)
+      (fun () ->
+        let rec go i =
+          if i > rounds then None
+          else
+            let t0 = Unix.gettimeofday () in
+            let ok = Notifier.await n ~deadline:(t0 +. 5.) (fun () -> Atomic.get counter >= i) in
+            let dt = Unix.gettimeofday () -. t0 in
+            if ok && dt < 2.5 then begin
+              Atomic.set acked i;
+              go (i + 1)
+            end
+            else Some (i, dt)
+        in
+        go 1)
+  in
+  match missed with
+  | None -> ()
+  | Some (i, dt) -> Alcotest.failf "wait %d missed its wake-up (%.3f s)" i dt
+
+(* Nobody notifies: the deadline alone ends the wait, promptly. *)
+let deadline_without_notifier () =
+  let n = Notifier.create () in
+  let t0 = Unix.gettimeofday () in
+  Alcotest.(check bool) "timed out" false (Notifier.await n ~deadline:(t0 +. 0.05) (fun () -> false));
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "not before the deadline (%.3f s)" dt) true (dt >= 0.05);
+  Alcotest.(check bool) (Printf.sprintf "within deadline + 250 ms (%.3f s)" dt) true (dt < 0.3);
+  Alcotest.(check int) "deregistered" 0 (Notifier.waiting n)
+
+(* [Scheduler.await_applied] rides the registry's applied signal: it
+   wakes on the epoch that reaches the target, and fails at once (not
+   at its deadline) when the scheduler stops short of it. *)
+let scheduler_await_applied () =
+  let db = D.Database.Z.create () in
+  ignore (D.Database.Z.declare db "R" (S.of_list [ "a" ]));
+  let reg = Registry.create db in
+  let queue = Squeue.create ~capacity:64 Squeue.Block in
+  let sched = Scheduler.create ~queue ~registry:reg ~metrics:(Metrics.create ()) () in
+  let runner = Domain.spawn (fun () -> Scheduler.run sched) in
+  for i = 1 to 10 do
+    ignore (Squeue.push queue (Scheduler.item (U.make ~rel:"R" ~tuple:(tup [ i ]) ~payload:1)))
+  done;
+  Alcotest.(check bool) "reaches 10" true (Scheduler.await_applied sched ~deadline:(after 30.) 10);
+  Squeue.close queue;
+  ignore (Domain.join runner);
+  let t0 = Unix.gettimeofday () in
+  Alcotest.(check bool) "stopped short" false
+    (Scheduler.await_applied sched ~deadline:(after 30.) 11);
+  Alcotest.(check bool) "fails without running out the deadline" true
+    (Unix.gettimeofday () -. t0 < 5.)
+
 let qt t = QCheck_alcotest.to_alcotest ~long:false t
 
 let () =
@@ -753,6 +874,14 @@ let () =
           Alcotest.test_case "coalesce" `Quick coalesce_cancels;
           Alcotest.test_case "zero-cancel epoch" `Quick zero_cancel_epoch;
           Alcotest.test_case "serve, kill, restart" `Quick serve_kill_restart;
+        ] );
+      ( "notifier",
+        [
+          Alcotest.test_case "notify before wait" `Quick notify_before_wait;
+          Alcotest.test_case "notify during wait" `Quick notify_during_wait;
+          Alcotest.test_case "no lost wake-up" `Quick no_lost_wakeup;
+          Alcotest.test_case "deadline without notifier" `Quick deadline_without_notifier;
+          Alcotest.test_case "scheduler await_applied" `Quick scheduler_await_applied;
         ] );
       ( "supervision",
         [
